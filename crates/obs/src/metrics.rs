@@ -537,6 +537,16 @@ impl Recorder {
         }
     }
 
+    /// Accumulate one span of `nanos` timed elsewhere on `timer`.
+    #[inline]
+    pub fn record(&mut self, timer: TimerId, nanos: u64) {
+        if self.shared.is_some() {
+            let base = timer.0 as usize;
+            *self.slot(base) += nanos;
+            *self.slot(base + 1) += 1;
+        }
+    }
+
     /// Add `n` to a counter (a plain local add when enabled).
     #[inline]
     pub fn add(&mut self, c: CounterId, n: u64) {

@@ -1,14 +1,16 @@
 //! A campaign: one full simulation pass over a set of applications.
 //!
 //! Applications are independent — each runs on a fresh [`Gpu`] — so the
-//! campaign fans them out across a scoped-thread worker pool (see
-//! [`parallel_map`]) controlled by a [`Parallelism`] knob. Results are
+//! campaign fans them out, as work units of one or more launch shards
+//! each, across a scoped-thread worker pool (see [`parallel_map`])
+//! controlled by a [`Parallelism`] knob. `bvf-serve` runs the same unit
+//! body, one unit per job. Results are
 //! always assembled in registry order and are bit-identical across worker
 //! counts: the only shared state is the work-queue cursor and the output
 //! slots, never the simulators.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -18,7 +20,7 @@ use bvf_isa::{derive_mask_for, Architecture};
 use bvf_obs::{MetricsSink, TraceRecorder, TraceSink};
 use bvf_workloads::Application;
 
-use crate::store::ResultStore;
+use crate::store::{ResultStore, UnitPiece};
 use crate::table::Table;
 
 /// How many workers a campaign (or any [`parallel_map`]) may use.
@@ -186,8 +188,8 @@ impl Default for CampaignOptions {
 /// thread reads them at ~4 Hz.
 struct Progress {
     total: usize,
-    /// What a work item is called in the heartbeat: "apps" for the classic
-    /// queue, "shards" when intra-app sharding is on.
+    /// What a work unit is called in the heartbeat: "apps" for one shard
+    /// per app, "shards" when intra-app sharding is on.
     noun: &'static str,
     started: AtomicUsize,
     done: AtomicUsize,
@@ -200,10 +202,6 @@ struct Progress {
 }
 
 impl Progress {
-    fn new(total: usize) -> Self {
-        Self::with_noun(total, "apps")
-    }
-
     fn with_noun(total: usize, noun: &'static str) -> Self {
         Self {
             total,
@@ -253,9 +251,8 @@ impl Progress {
 }
 
 /// Stringify a panic payload: `panic!("...")` carries a `String` or a
-/// `&'static str`; anything else gets a placeholder. `pub(crate)` because
-/// the serve worker pool (`crate::serve`) isolates faults the same way.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// `&'static str`; anything else gets a placeholder.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {
@@ -296,6 +293,165 @@ fn with_heartbeat<R: Send>(progress: &Progress, body: impl FnOnce() -> R + Send)
         beat.join().expect("heartbeat thread never panics");
         out
     })
+}
+
+/// What every work unit of one fan-out shares: the simulated machine,
+/// the store, the fault drill, and where spans go.
+pub(crate) struct UnitEnv<'a> {
+    pub(crate) config: &'a GpuConfig,
+    pub(crate) arch: Architecture,
+    /// Derived ISA mask; the units simulate its standard coding views.
+    pub(crate) isa_mask: u64,
+    /// Shared by every unit's simulator (a disabled sink makes probes free).
+    pub(crate) sink: &'a MetricsSink,
+    pub(crate) store: Option<&'a ResultStore>,
+    /// A unit of this application panics instead of running.
+    pub(crate) fault: Option<&'a str>,
+    pub(crate) tracer: &'a TraceSink,
+    /// Causal root of the unit spans (`campaign:<label>`).
+    pub(crate) trace_root: &'a str,
+}
+
+/// One work unit: shard `index` of `count` of one application.
+pub(crate) struct Unit<'a> {
+    pub(crate) app: &'a Application,
+    pub(crate) index: u32,
+    pub(crate) count: u32,
+    /// Trace lane of the unit's spans.
+    pub(crate) lane: u32,
+    /// Re-simulate a store hit and assert it is bit-identical.
+    pub(crate) verify: bool,
+}
+
+/// What [`run_unit`] hands back.
+pub(crate) struct UnitOutcome {
+    /// The unit's piece, or the panic message of whatever step failed.
+    pub(crate) piece: Result<UnitPiece, String>,
+    /// Simulation wall on a miss; load (plus verification) wall on a hit;
+    /// the whole unit's wall on a failure.
+    pub(crate) wall: Duration,
+    /// `Some(hit)` once the store was consulted, even if a later step
+    /// panicked; `None` without a store or when the fault drill fired.
+    pub(crate) store_hit: Option<bool>,
+    /// Whether a hit was re-simulated and matched.
+    pub(crate) verified: bool,
+}
+
+/// A unit's trace recorder and causal path (`None` when tracing is off,
+/// so the untraced path reads no clock and allocates nothing).
+struct UnitTrace(Option<(TraceRecorder, String)>);
+
+impl UnitTrace {
+    fn now(&self) -> u64 {
+        self.0.as_ref().map_or(0, |(rec, _)| rec.now_ns())
+    }
+
+    /// Emit the span `<path><suffix>` that began at `t0`.
+    fn close(
+        &mut self,
+        suffix: &str,
+        cat: &'static str,
+        seq: u32,
+        t0: u64,
+        args: &[(&'static str, u64)],
+    ) {
+        if let Some((rec, path)) = &mut self.0 {
+            let end = rec.now_ns();
+            rec.emit(
+                format!("{path}{suffix}"),
+                cat,
+                seq,
+                t0,
+                end.saturating_sub(t0),
+                args.to_vec(),
+            );
+        }
+    }
+}
+
+/// Run one work unit start to finish: the fault drill, the store consult
+/// under the unit's key (see [`ResultStore::load_unit`]), re-simulation of
+/// a hit selected for verification, simulation on a fresh [`Gpu`] after a
+/// miss, the save, and the unit's `store:load` / `store:save` / `verify` /
+/// item spans. Everything fallible runs inside one unwind boundary: a
+/// panicking unit (simulator bug, fault drill, failed verification)
+/// becomes the outcome's `Err`, and every other unit still completes.
+pub(crate) fn run_unit(env: &UnitEnv<'_>, unit: &Unit<'_>) -> UnitOutcome {
+    let app = unit.app;
+    let mut trace = UnitTrace(env.tracer.is_enabled().then(|| {
+        let path = format!("{}/app:{}/shard:{}", env.trace_root, app.code, unit.index);
+        (env.tracer.recorder(unit.lane), path)
+    }));
+    let item_t0 = trace.now();
+    let t0 = Instant::now();
+    let (mut wall, mut store_hit, mut verified) = (None, None, false);
+    let piece = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if env.fault == Some(app.code) {
+            panic!("injected fault: worker asked to fail on {}", app.code);
+        }
+        let scope = trace.0.as_ref().map(|(_, path)| path.clone());
+        let simulate = |scope: Option<String>| {
+            let views = CodingView::standard_set(env.isa_mask);
+            let mut gpu = Gpu::new(env.config.clone(), views);
+            gpu.set_architecture(env.arch);
+            gpu.set_metrics(env.sink.clone());
+            if let Some(scope) = scope {
+                gpu.set_tracer(env.tracer.clone(), scope, unit.lane);
+            }
+            let shard = app.run_shard(&mut gpu, unit.index, unit.count);
+            UnitPiece::from_shard(env.config, shard, unit.count)
+        };
+        let key = ResultStore::key(env.config, env.arch, env.isa_mask, app.code);
+        if let Some(store) = env.store {
+            let t_load = Instant::now();
+            let load_t0 = trace.now();
+            let loaded = store.load_unit(key, app.code, unit.index, unit.count);
+            trace.close(
+                "/store:load",
+                "store",
+                1,
+                load_t0,
+                &[("hit", u64::from(loaded.is_some()))],
+            );
+            store_hit = Some(loaded.is_some());
+            if let Some(piece) = loaded {
+                if unit.verify {
+                    let fresh = simulate(scope.map(|path| path + "/verify"));
+                    assert_eq!(
+                        fresh, piece,
+                        "cache verification failed for {} shard {}/{}: the stored entry is \
+                         not bit-identical to a fresh simulation — the simulator changed \
+                         without a STORE_FORMAT_VERSION bump",
+                        app.code, unit.index, unit.count
+                    );
+                    verified = true;
+                }
+                wall = Some(t_load.elapsed());
+                return piece;
+            }
+        }
+        let t_sim = Instant::now();
+        let piece = simulate(scope);
+        wall = Some(t_sim.elapsed());
+        if let Some(store) = env.store {
+            let save_t0 = trace.now();
+            store.save_unit(key, app.code, unit.index, unit.count, &piece);
+            trace.close("/store:save", "store", 2, save_t0, &[]);
+        }
+        piece
+    }));
+    let failed: &[_] = if piece.is_err() {
+        &[("failed", 1)]
+    } else {
+        &[]
+    };
+    trace.close("", "sched", 0, item_t0, failed);
+    UnitOutcome {
+        piece: piece.map_err(panic_message),
+        wall: wall.unwrap_or_else(|| t0.elapsed()),
+        store_hit,
+        verified,
+    }
 }
 
 /// One application's simulation result.
@@ -407,34 +563,23 @@ impl Campaign {
     ///
     /// Panics if `apps` is empty.
     pub fn run(config: GpuConfig, apps: &[Application], par: Parallelism) -> Self {
-        Self::run_with_arch(config, apps, Architecture::Pascal, par)
+        let opts = CampaignOptions {
+            par,
+            ..CampaignOptions::default()
+        };
+        Self::run_with_options(config, apps, &opts)
     }
 
-    /// [`Campaign::run`] with an explicit ISA generation.
+    /// [`Campaign::run`] with the full option set (see [`CampaignOptions`]).
     ///
-    /// # Panics
-    ///
-    /// Panics if `apps` is empty.
-    pub fn run_with_arch(
-        config: GpuConfig,
-        apps: &[Application],
-        arch: Architecture,
-        par: Parallelism,
-    ) -> Self {
-        Self::run_with_options(
-            config,
-            apps,
-            &CampaignOptions {
-                par,
-                arch,
-                ..CampaignOptions::default()
-            },
-        )
-    }
-
-    /// [`Campaign::run`] with the full option set: parallelism, ISA
-    /// generation, live progress on stderr, and a metrics sink (see
-    /// [`CampaignOptions`]).
+    /// Every shard count runs one fan-out: a queue of `run_unit` calls,
+    /// one per (application, shard), longest application first so the
+    /// tail fills with small units instead of idling behind one big app.
+    /// Results and failures are assembled in registry order, one failure
+    /// per application (its lowest failing shard's error). With more than
+    /// one shard per app, the pieces merge here ([`bvf_gpu::merge_shards`])
+    /// and the merged summary is also saved under the whole-application
+    /// key, so a later unsharded run hits too.
     ///
     /// # Panics
     ///
@@ -446,433 +591,131 @@ impl Campaign {
     ) -> Self {
         assert!(!apps.is_empty(), "campaign needs at least one application");
         let isa_mask = Self::derive_isa_mask(opts.arch, apps);
-        let views = CodingView::standard_set(isa_mask);
         // Resolve the shard count against the pool the parallelism knob
         // *would* deliver with no item cap (the item count depends on the
         // shard count, so the cap cannot be applied first).
         let shard_count = opts.shards.count(opts.par.workers(usize::MAX), config.sms);
-        if shard_count > 1 {
-            return Self::run_sharded(config, apps, opts, isa_mask, &views, shard_count);
-        }
-        let workers = opts.par.workers(apps.len());
-        let progress = Progress::new(apps.len());
-        // Which hits this campaign double-checks against a fresh simulation
-        // (empty when no store or no verification is configured).
-        let verify = opts
-            .store
-            .as_deref()
-            .map(|s| s.verify_selection(apps.len()))
-            .unwrap_or_default();
-        let hits = AtomicUsize::new(0);
-        let misses = AtomicUsize::new(0);
-        let verified = AtomicUsize::new(0);
-        let hit_ctr = opts.sink.counter("store.hit");
-        let miss_ctr = opts.sink.counter("store.miss");
-        let verify_ctr = opts.sink.counter("store.verify");
-        // Workers need their registry index (for the verify selection), and
-        // `parallel_map` hands the callback only the item — so the items
-        // carry their index.
-        let indexed: Vec<(usize, &Application)> = apps.iter().enumerate().collect();
-        let trace_root = format!("campaign:{}", opts.trace_label);
-        let mut main_trace = opts.tracer.is_enabled().then(|| {
-            let rec = opts.tracer.recorder(u32::MAX);
-            let t0_ns = rec.now_ns();
-            (rec, t0_ns)
-        });
-        let t0 = Instant::now();
-        let simulate = |&(i, app): &(usize, &Application)| -> Result<AppResult, AppFailure> {
-            progress.started.fetch_add(1, Ordering::Relaxed);
-            progress.busy.fetch_add(1, Ordering::Relaxed);
-            let t_item = Instant::now();
-            // Per-item trace recorder: its Drop flushes, so even a panic
-            // below delivers every span closed before the unwind.
-            let item_path = opts
-                .tracer
-                .is_enabled()
-                .then(|| format!("{trace_root}/app:{}/shard:0", app.code));
-            let mut item_trace = item_path.as_ref().map(|_| {
-                let rec = opts.tracer.recorder(i as u32);
-                let t0_ns = rec.now_ns();
-                (rec, t0_ns)
-            });
-            // Everything fallible runs under `catch_unwind`: a panicking
-            // application (simulator bug, fault drill, failed cache
-            // verification) becomes an `AppFailure` on this campaign, and
-            // every other application still completes.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if opts.fault.as_deref() == Some(app.code) {
-                    panic!("injected fault: worker asked to fail on {}", app.code);
-                }
-                let item_ctx = item_path
-                    .as_ref()
-                    .map(|path| (&opts.tracer, path.as_str(), i as u32));
-                let Some(store) = opts.store.as_deref() else {
-                    return Self::simulate_one(
-                        &config, &views, opts.arch, &opts.sink, app, item_ctx,
-                    );
-                };
-                let key = ResultStore::key(&config, opts.arch, isa_mask, app.code);
-                let t_load = Instant::now();
-                let load_t0 = item_trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
-                let loaded = store.load(key, app.code);
-                if let (Some((rec, _)), Some(path)) = (item_trace.as_mut(), item_path.as_deref()) {
-                    let end = rec.now_ns();
-                    rec.emit(
-                        format!("{path}/store:load"),
-                        "store",
-                        1,
-                        load_t0,
-                        end.saturating_sub(load_t0),
-                        vec![("hit", u64::from(loaded.is_some()))],
-                    );
-                }
-                if let Some(summary) = loaded {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    opts.sink.add(hit_ctr, 1);
-                    if verify.get(i).copied().unwrap_or(false) {
-                        let verify_scope = item_path.as_ref().map(|p| p.clone() + "/verify");
-                        let verify_ctx = verify_scope
-                            .as_ref()
-                            .map(|p| (&opts.tracer, p.as_str(), i as u32));
-                        let fresh = Self::simulate_one(
-                            &config, &views, opts.arch, &opts.sink, app, verify_ctx,
-                        );
-                        assert_eq!(
-                            fresh.summary, summary,
-                            "cache verification failed for {}: the stored summary is not \
-                             bit-identical to a fresh simulation — the simulator changed \
-                             without a STORE_FORMAT_VERSION bump",
-                            app.code
-                        );
-                        verified.fetch_add(1, Ordering::Relaxed);
-                        opts.sink.add(verify_ctr, 1);
-                    }
-                    let wall = t_load.elapsed();
-                    return AppResult {
-                        app: app.clone(),
-                        instructions_per_second: summary.dynamic_instructions as f64
-                            / wall.as_secs_f64().max(1e-9),
-                        summary,
-                        wall,
-                        cached: true,
-                        shards: 1,
-                    };
-                }
-                misses.fetch_add(1, Ordering::Relaxed);
-                opts.sink.add(miss_ctr, 1);
-                let result =
-                    Self::simulate_one(&config, &views, opts.arch, &opts.sink, app, item_ctx);
-                let save_t0 = item_trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
-                store.save(key, app.code, &result.summary);
-                if let (Some((rec, _)), Some(path)) = (item_trace.as_mut(), item_path.as_deref()) {
-                    let end = rec.now_ns();
-                    rec.emit(
-                        format!("{path}/store:save"),
-                        "store",
-                        2,
-                        save_t0,
-                        end.saturating_sub(save_t0),
-                        Vec::new(),
-                    );
-                }
-                result
-            }));
-            if let Ok(result) = &outcome {
-                progress
-                    .instructions
-                    .fetch_add(result.summary.dynamic_instructions, Ordering::Relaxed);
-            }
-            if let (Some((mut rec, item_t0)), Some(path)) = (item_trace, item_path) {
-                let end = rec.now_ns();
-                let args = if outcome.is_err() {
-                    vec![("failed", 1)]
-                } else {
-                    Vec::new()
-                };
-                rec.emit(path, "sched", 0, item_t0, end.saturating_sub(item_t0), args);
-            }
-            progress
-                .item_wall_nanos
-                .fetch_add(t_item.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            progress.busy.fetch_sub(1, Ordering::Relaxed);
-            progress.done.fetch_add(1, Ordering::Relaxed);
-            outcome.map_err(|payload| AppFailure {
-                app: app.code,
-                error: panic_message(payload),
-            })
-        };
-        let outcomes = if opts.progress {
-            with_heartbeat(&progress, || parallel_map(&indexed, opts.par, simulate))
-        } else {
-            parallel_map(&indexed, opts.par, simulate)
-        };
-        let wall = t0.elapsed();
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut failures = Vec::new();
-        for outcome in outcomes {
-            match outcome {
-                Ok(r) => results.push(r),
-                Err(f) => failures.push(f),
-            }
-        }
-        if let Some((rec, t0_ns)) = main_trace.as_mut() {
-            Self::emit_logical_spans(rec, &trace_root, *t0_ns, &results, &failures);
-        }
-        let index = Self::build_index(&results);
-        let max_item_wall = results.iter().map(|r| r.wall).max().unwrap_or_default();
-        Self {
-            config,
-            arch: opts.arch,
-            isa_mask,
-            results,
-            failures,
-            cache_hits: hits.into_inner(),
-            cache_misses: misses.into_inner(),
-            cache_verified: verified.into_inner(),
-            wall,
-            workers,
-            shards: 1,
-            max_item_wall,
-            index,
-        }
-    }
-
-    /// The sharded fan-out: the work queue holds one item per (application,
-    /// shard) pair, ordered longest-application-first so the schedule's tail
-    /// fills with small shards instead of idling behind one big app.
-    ///
-    /// Each completed shard streams into the result store under its own
-    /// sub-key (see [`ResultStore::shard_key`]) the moment it finishes, so
-    /// an interrupted campaign resumes *mid-application*; the merged
-    /// summary is additionally saved under the whole-application key, so a
-    /// later unsharded run hits too. Results and failures are assembled in
-    /// registry order — never worker completion order — with one failure
-    /// per application (its lowest-indexed failing shard's error).
-    fn run_sharded(
-        config: GpuConfig,
-        apps: &[Application],
-        opts: &CampaignOptions,
-        isa_mask: u64,
-        views: &[CodingView],
-        shard_count: u32,
-    ) -> Self {
-        // Longest-app-first queue of (app index, shard index) items.
         let mut order: Vec<usize> = (0..apps.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(apps[i].work_estimate()));
-        let items: Vec<(usize, u32)> = order
+        let units: Vec<(usize, u32)> = order
             .iter()
             .flat_map(|&i| (0..shard_count).map(move |s| (i, s)))
             .collect();
-        let workers = opts.par.workers(items.len());
-        let progress = Progress::with_noun(items.len(), "shards");
+        let workers = opts.par.workers(units.len());
+        let noun = if shard_count == 1 { "apps" } else { "shards" };
+        let progress = Progress::with_noun(units.len(), noun);
+        // Which units re-simulate a hit (empty when no store or no
+        // verification is configured).
         let verify = opts
             .store
             .as_deref()
-            .map(|s| s.verify_selection(items.len()))
+            .map(|s| s.verify_selection(units.len()))
             .unwrap_or_default();
-        let hits = AtomicUsize::new(0);
-        let misses = AtomicUsize::new(0);
-        let verified = AtomicUsize::new(0);
-        let hit_ctr = opts.sink.counter("store.hit");
-        let miss_ctr = opts.sink.counter("store.miss");
-        let verify_ctr = opts.sink.counter("store.verify");
-        // Slot index alongside each item, for the verify selection.
-        let indexed: Vec<(usize, usize, u32)> = items
-            .iter()
-            .enumerate()
-            .map(|(j, &(i, s))| (j, i, s))
-            .collect();
+        let [hit_ctr, miss_ctr, verify_ctr] =
+            ["store.hit", "store.miss", "store.verify"].map(|name| opts.sink.counter(name));
         let trace_root = format!("campaign:{}", opts.trace_label);
+        let env = UnitEnv {
+            config: &config,
+            arch: opts.arch,
+            isa_mask,
+            sink: &opts.sink,
+            store: opts.store.as_deref(),
+            fault: opts.fault.as_deref(),
+            tracer: &opts.tracer,
+            trace_root: &trace_root,
+        };
         let mut main_trace = opts.tracer.is_enabled().then(|| {
             let rec = opts.tracer.recorder(u32::MAX);
             let t0_ns = rec.now_ns();
             (rec, t0_ns)
         });
         let t0 = Instant::now();
-        type ShardPiece = (bvf_gpu::LaunchShard, Duration, bool);
-        let simulate = |&(j, i, s): &(usize, usize, u32)| -> Result<ShardPiece, String> {
-            let app = &apps[i];
+        let run = |&(i, s): &(usize, u32)| -> UnitOutcome {
             progress.started.fetch_add(1, Ordering::Relaxed);
             progress.busy.fetch_add(1, Ordering::Relaxed);
             let t_item = Instant::now();
-            // Per-item trace recorder on the queue-slot lane; Drop flushes
-            // it even when the closure below panics.
-            let item_path = opts
-                .tracer
-                .is_enabled()
-                .then(|| format!("{trace_root}/app:{}/shard:{s}", app.code));
-            let mut item_trace = item_path.as_ref().map(|_| {
-                let rec = opts.tracer.recorder(j as u32);
-                let t0_ns = rec.now_ns();
-                (rec, t0_ns)
-            });
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if opts.fault.as_deref() == Some(app.code) {
-                    panic!("injected fault: worker asked to fail on {}", app.code);
-                }
-                let item_ctx = item_path
-                    .as_ref()
-                    .map(|path| (&opts.tracer, path.as_str(), j as u32));
-                let store_key = opts.store.as_deref().map(|_| {
-                    let app_key = ResultStore::key(&config, opts.arch, isa_mask, app.code);
-                    ResultStore::shard_key(app_key, s, shard_count)
-                });
-                if let (Some(store), Some(key)) = (opts.store.as_deref(), store_key) {
-                    let t_load = Instant::now();
-                    let load_t0 = item_trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
-                    let loaded = store.load_shard(key, app.code, s, shard_count);
-                    if let (Some((rec, _)), Some(path)) =
-                        (item_trace.as_mut(), item_path.as_deref())
-                    {
-                        let end = rec.now_ns();
-                        rec.emit(
-                            format!("{path}/store:load"),
-                            "store",
-                            1,
-                            load_t0,
-                            end.saturating_sub(load_t0),
-                            vec![("hit", u64::from(loaded.is_some()))],
-                        );
-                    }
-                    if let Some(shard) = loaded {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        opts.sink.add(hit_ctr, 1);
-                        if verify.get(j).copied().unwrap_or(false) {
-                            let verify_scope = item_path.as_ref().map(|p| p.clone() + "/verify");
-                            let verify_ctx = verify_scope
-                                .as_ref()
-                                .map(|p| (&opts.tracer, p.as_str(), j as u32));
-                            let (fresh, _) = Self::simulate_one_shard(
-                                &config,
-                                views,
-                                opts.arch,
-                                &opts.sink,
-                                app,
-                                s,
-                                shard_count,
-                                verify_ctx,
-                            );
-                            assert_eq!(
-                                fresh, shard,
-                                "cache verification failed for {} shard {s}/{shard_count}: the \
-                                 stored shard is not bit-identical to a fresh simulation — the \
-                                 simulator changed without a STORE_FORMAT_VERSION bump",
-                                app.code
-                            );
-                            verified.fetch_add(1, Ordering::Relaxed);
-                            opts.sink.add(verify_ctr, 1);
-                        }
-                        return (shard, t_load.elapsed(), true);
-                    }
-                }
-                misses.fetch_add(1, Ordering::Relaxed);
-                opts.sink.add(miss_ctr, 1);
-                let (shard, wall) = Self::simulate_one_shard(
-                    &config,
-                    views,
-                    opts.arch,
-                    &opts.sink,
-                    app,
-                    s,
-                    shard_count,
-                    item_ctx,
-                );
-                if let (Some(store), Some(key)) = (opts.store.as_deref(), store_key) {
-                    let save_t0 = item_trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
-                    store.save_shard(key, app.code, s, shard_count, &shard);
-                    if let (Some((rec, _)), Some(path)) =
-                        (item_trace.as_mut(), item_path.as_deref())
-                    {
-                        let end = rec.now_ns();
-                        rec.emit(
-                            format!("{path}/store:save"),
-                            "store",
-                            2,
-                            save_t0,
-                            end.saturating_sub(save_t0),
-                            Vec::new(),
-                        );
-                    }
-                }
-                (shard, wall, false)
-            }));
-            if let Ok((shard, _, _)) = &outcome {
+            // Registry-order unit index: the verify selection and trace lane.
+            let unit_index = i * shard_count as usize + s as usize;
+            let outcome = run_unit(
+                &env,
+                &Unit {
+                    app: &apps[i],
+                    index: s,
+                    count: shard_count,
+                    lane: unit_index as u32,
+                    verify: verify.get(unit_index).copied().unwrap_or(false),
+                },
+            );
+            if let Ok(piece) = &outcome.piece {
                 progress
                     .instructions
-                    .fetch_add(shard.dynamic_instructions, Ordering::Relaxed);
-            }
-            if let (Some((mut rec, item_t0)), Some(path)) = (item_trace, item_path) {
-                let end = rec.now_ns();
-                let args = if outcome.is_err() {
-                    vec![("failed", 1)]
-                } else {
-                    Vec::new()
-                };
-                rec.emit(path, "sched", 0, item_t0, end.saturating_sub(item_t0), args);
+                    .fetch_add(piece.dynamic_instructions(), Ordering::Relaxed);
             }
             progress
                 .item_wall_nanos
                 .fetch_add(t_item.elapsed().as_nanos() as u64, Ordering::Relaxed);
             progress.busy.fetch_sub(1, Ordering::Relaxed);
             progress.done.fetch_add(1, Ordering::Relaxed);
-            outcome.map_err(panic_message)
+            outcome
         };
         let outcomes = if opts.progress {
-            with_heartbeat(&progress, || parallel_map(&indexed, opts.par, simulate))
+            with_heartbeat(&progress, || parallel_map(&units, opts.par, run))
         } else {
-            parallel_map(&indexed, opts.par, simulate)
+            parallel_map(&units, opts.par, run)
         };
         let wall = t0.elapsed();
+        let count = |f: fn(&UnitOutcome) -> bool| outcomes.iter().filter(|&o| f(o)).count();
+        let cache_hits = count(|o| o.store_hit == Some(true));
+        let cache_misses = count(|o| o.store_hit == Some(false));
+        let cache_verified = count(|o| o.verified);
+        opts.sink.add(hit_ctr, cache_hits as u64);
+        opts.sink.add(miss_ctr, cache_misses as u64);
+        opts.sink.add(verify_ctr, cache_verified as u64);
 
-        // Regroup the shard outcomes per application. `parallel_map`
-        // returned them in *queue* order (longest-app-first); assembly
-        // walks the registry order, so results and failures never depend
-        // on either the queue permutation or worker completion order.
-        let mut per_app: Vec<Vec<(u32, Result<ShardPiece, String>)>> =
-            (0..apps.len()).map(|_| Vec::new()).collect();
-        for (&(_, i, s), outcome) in indexed.iter().zip(outcomes) {
-            per_app[i].push((s, outcome));
+        // Each app's units sit contiguously and in shard order in the
+        // queue, so pushing in queue order groups them in shard order.
+        let mut per_app: Vec<Vec<UnitOutcome>> = apps.iter().map(|_| Vec::new()).collect();
+        for (&(i, _), outcome) in units.iter().zip(outcomes) {
+            per_app[i].push(outcome);
         }
         let mut results = Vec::with_capacity(apps.len());
         let mut failures = Vec::new();
         let mut max_item_wall = Duration::ZERO;
-        for (app, mut pieces) in apps.iter().zip(per_app) {
-            pieces.sort_by_key(|&(s, _)| s);
-            if let Some((_, Err(error))) = pieces.iter().find(|(_, o)| o.is_err()) {
+        for (app, outcomes) in apps.iter().zip(per_app) {
+            if let Some(error) = outcomes.iter().find_map(|o| o.piece.as_ref().err()) {
                 failures.push(AppFailure {
                     app: app.code,
                     error: error.clone(),
                 });
                 continue;
             }
-            let mut shards = Vec::with_capacity(pieces.len());
-            let mut app_wall = Duration::ZERO;
-            let mut cached = true;
-            for (_, piece) in pieces {
-                let (shard, shard_wall, shard_cached) = piece.expect("errors handled above");
-                max_item_wall = max_item_wall.max(shard_wall);
-                app_wall += shard_wall;
-                cached &= shard_cached;
-                shards.push(shard);
-            }
+            let app_wall: Duration = outcomes.iter().map(|o| o.wall).sum();
+            max_item_wall = outcomes
+                .iter()
+                .map(|o| o.wall)
+                .fold(max_item_wall, Duration::max);
+            let cached = outcomes.iter().all(|o| o.store_hit == Some(true));
             let merge_t0 = main_trace.as_ref().map_or(0, |(rec, _)| rec.now_ns());
-            let summary = bvf_gpu::merge_shards(&config, &shards);
-            if !cached {
-                if let Some(store) = opts.store.as_deref() {
+            let pieces = outcomes
+                .into_iter()
+                .map(|o| o.piece.expect("errors handled above"));
+            let summary = UnitPiece::assemble(&config, pieces);
+            if shard_count > 1 {
+                if let (false, Some(store)) = (cached, opts.store.as_deref()) {
                     let app_key = ResultStore::key(&config, opts.arch, isa_mask, app.code);
                     store.save(app_key, app.code, &summary);
                 }
-            }
-            if let Some((rec, _)) = main_trace.as_mut() {
-                let end = rec.now_ns();
-                rec.emit(
-                    format!("{trace_root}/app:{}/merge", app.code),
-                    "sched",
-                    0,
-                    merge_t0,
-                    end.saturating_sub(merge_t0),
-                    vec![("shards", u64::from(shard_count))],
-                );
+                if let Some((rec, _)) = main_trace.as_mut() {
+                    let end = rec.now_ns();
+                    rec.emit(
+                        format!("{trace_root}/app:{}/merge", app.code),
+                        "sched",
+                        0,
+                        merge_t0,
+                        end.saturating_sub(merge_t0),
+                        vec![("shards", u64::from(shard_count))],
+                    );
+                }
             }
             results.push(AppResult {
                 app: app.clone(),
@@ -887,78 +730,25 @@ impl Campaign {
         if let Some((rec, t0_ns)) = main_trace.as_mut() {
             Self::emit_logical_spans(rec, &trace_root, *t0_ns, &results, &failures);
         }
-        let index = Self::build_index(&results);
+        let index = results
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.app.code, i))
+            .collect();
         Self {
             config,
             arch: opts.arch,
             isa_mask,
             results,
             failures,
-            cache_hits: hits.into_inner(),
-            cache_misses: misses.into_inner(),
-            cache_verified: verified.into_inner(),
+            cache_hits,
+            cache_misses,
+            cache_verified,
             wall,
             workers,
             shards: shard_count,
             max_item_wall,
             index,
-        }
-    }
-
-    /// Simulate one launch shard of one application on a fresh GPU,
-    /// timing it. `trace` carries (sink, causal scope, lane id) so the GPU
-    /// can attribute its launch/phase spans under the campaign item.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_one_shard(
-        config: &GpuConfig,
-        views: &[CodingView],
-        arch: Architecture,
-        sink: &MetricsSink,
-        app: &Application,
-        index: u32,
-        count: u32,
-        trace: Option<(&TraceSink, &str, u32)>,
-    ) -> (bvf_gpu::LaunchShard, Duration) {
-        let t0 = Instant::now();
-        let mut gpu = Gpu::new(config.clone(), views.to_vec());
-        gpu.set_architecture(arch);
-        gpu.set_metrics(sink.clone());
-        if let Some((tracer, scope, tid)) = trace {
-            gpu.set_tracer(tracer.clone(), scope.to_string(), tid);
-        }
-        let shard = app.run_shard(&mut gpu, index, count);
-        (shard, t0.elapsed())
-    }
-
-    /// Simulate one application on a fresh GPU, timing it. `pub(crate)` so
-    /// the serve worker pool (`crate::serve`) can run exactly the
-    /// simulation a campaign would, without the campaign fan-out around it.
-    pub(crate) fn simulate_one(
-        config: &GpuConfig,
-        views: &[CodingView],
-        arch: Architecture,
-        sink: &MetricsSink,
-        app: &Application,
-        trace: Option<(&TraceSink, &str, u32)>,
-    ) -> AppResult {
-        let t0 = Instant::now();
-        let mut gpu = Gpu::new(config.clone(), views.to_vec());
-        gpu.set_architecture(arch);
-        gpu.set_metrics(sink.clone());
-        if let Some((tracer, scope, tid)) = trace {
-            gpu.set_tracer(tracer.clone(), scope.to_string(), tid);
-        }
-        let summary = app.run(&mut gpu);
-        let wall = t0.elapsed();
-        let instructions_per_second =
-            summary.dynamic_instructions as f64 / wall.as_secs_f64().max(1e-9);
-        AppResult {
-            app: app.clone(),
-            summary,
-            wall,
-            instructions_per_second,
-            cached: false,
-            shards: 1,
         }
     }
 
@@ -1040,14 +830,6 @@ impl Campaign {
         );
     }
 
-    fn build_index(results: &[AppResult]) -> HashMap<&'static str, usize> {
-        results
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.app.code, i))
-            .collect()
-    }
-
     /// The full 58-application campaign on the Table 3 baseline.
     pub fn full_baseline(par: Parallelism) -> Self {
         Self::full_baseline_with_options(&CampaignOptions {
@@ -1116,18 +898,7 @@ impl Campaign {
             .iter()
             .max_by_key(|r| r.wall)
             .map(|r| (r.app.code, r.wall));
-        let min_app_wall = self
-            .results
-            .iter()
-            .map(|r| r.wall)
-            .min()
-            .unwrap_or_default();
-        let max_app_wall = self
-            .results
-            .iter()
-            .map(|r| r.wall)
-            .max()
-            .unwrap_or_default();
+        let min_app_wall = self.results.iter().map(|r| r.wall).min();
         let mean_app_wall = serial
             .checked_div(self.results.len().max(1) as u32)
             .unwrap_or_default();
@@ -1144,8 +915,8 @@ impl Campaign {
             serial_wall: serial,
             speedup: serial.as_secs_f64() / self.wall.as_secs_f64().max(1e-9),
             slowest,
-            min_app_wall,
-            max_app_wall,
+            min_app_wall: min_app_wall.unwrap_or_default(),
+            max_app_wall: slowest.map(|(_, wall)| wall).unwrap_or_default(),
             mean_app_wall,
             total_instructions,
             instructions_per_second: total_instructions as f64 / self.wall.as_secs_f64().max(1e-9),
@@ -1534,7 +1305,7 @@ mod tests {
 
     #[test]
     fn heartbeat_line_reports_counts() {
-        let p = Progress::new(6);
+        let p = Progress::with_noun(6, "apps");
         p.started.store(5, Ordering::Relaxed);
         p.done.store(3, Ordering::Relaxed);
         p.busy.store(2, Ordering::Relaxed);
@@ -1910,7 +1681,7 @@ mod tests {
 
     #[test]
     fn eta_appears_once_items_complete_and_never_before() {
-        let p = Progress::new(8);
+        let p = Progress::with_noun(8, "apps");
         assert!(p.eta(0, 1).is_none(), "no ETA before the first completion");
         p.item_wall_nanos.store(4_000_000_000, Ordering::Relaxed);
         p.done.store(4, Ordering::Relaxed);

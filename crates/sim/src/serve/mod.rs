@@ -35,19 +35,18 @@ pub mod protocol;
 
 use std::collections::{BinaryHeap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bvf_gpu::{CodingView, GpuConfig, TraceSummary};
+use bvf_gpu::{GpuConfig, TraceSummary};
 use bvf_isa::Architecture;
-use bvf_obs::{CounterId, HistogramId, MetricsSink, TimerId};
+use bvf_obs::{CounterId, HistogramId, MetricsSink, TimerId, TraceSink};
 use bvf_workloads::Application;
 
-use crate::campaign::{panic_message, Campaign};
-use crate::store::ResultStore;
+use crate::campaign::{run_unit, Unit, UnitEnv};
+use crate::store::{ResultStore, UnitPiece};
 
 use self::http::{ChunkedWriter, Request, RequestError};
 use self::protocol::SimRequest;
@@ -105,7 +104,7 @@ struct Ids {
     store_misses: CounterId,
     /// `/metrics` scrapes served.
     scrapes: CounterId,
-    /// Wall time inside `simulate_one`.
+    /// Wall time of fresh simulations (store hits excluded).
     simulate: TimerId,
     /// Nanoseconds a job sat queued before a worker picked it up.
     queue_wait: HistogramId,
@@ -175,12 +174,11 @@ struct Job {
     seq: u64,
     app: Application,
     key: u64,
-    /// Whether `key` is registered in the single-flight map (fault-drill
-    /// jobs are not — they must not be attachable).
-    registered: bool,
+    isa_mask: u64,
     config: Arc<GpuConfig>,
-    views: Arc<Vec<CodingView>>,
     arch: Architecture,
+    /// A fault drill: never registered in the single-flight map (it must
+    /// not be attachable), and it panics instead of simulating.
     fault: bool,
     hold: Duration,
     slot: Arc<FlightSlot>,
@@ -234,20 +232,14 @@ enum SubmitError {
     ShuttingDown,
 }
 
-/// What the handler waits on per application, in request order.
-enum Waiter {
-    /// This request enqueued (or attached to) a flight.
-    Flight(Arc<FlightSlot>),
-}
-
 impl Shared {
     /// Atomically admit one request: attach each app to an identical
     /// in-flight job where one exists, enqueue the rest — all or nothing
-    /// against the queue capacity.
-    fn submit(&self, req: &SimRequest) -> Result<Vec<(Application, Waiter)>, SubmitError> {
+    /// against the queue capacity. Returns the flight each application
+    /// waits on, in request order.
+    fn submit(&self, req: &SimRequest) -> Result<Vec<(Application, Arc<FlightSlot>)>, SubmitError> {
         let isa_mask = req.isa_mask();
         let config = Arc::new(req.config.clone());
-        let views = Arc::new(CodingView::standard_set(isa_mask));
         let mut state = self.state.lock().expect("scheduler lock");
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -265,7 +257,7 @@ impl Shared {
             if !fault {
                 if let Some(slot) = state.inflight.get(&key).or_else(|| staged_map.get(&key)) {
                     attached += 1;
-                    waiters.push((app.clone(), Waiter::Flight(slot.clone())));
+                    waiters.push((app.clone(), slot.clone()));
                     continue;
                 }
             }
@@ -278,16 +270,15 @@ impl Shared {
                 seq: self.seq.fetch_add(1, Ordering::Relaxed),
                 app: app.clone(),
                 key,
-                registered: !fault,
+                isa_mask,
                 config: config.clone(),
-                views: views.clone(),
                 arch: req.arch,
                 fault,
                 hold: Duration::from_millis(req.hold_ms),
                 slot: slot.clone(),
                 enqueued: Instant::now(),
             });
-            waiters.push((app.clone(), Waiter::Flight(slot)));
+            waiters.push((app.clone(), slot));
         }
         if state.queue.len() + staged.len() > self.capacity {
             return Err(SubmitError::Full);
@@ -324,58 +315,48 @@ impl Shared {
                 job.enqueued.elapsed().as_nanos() as u64,
             );
             self.run_job(&mut rec, job);
-            // Flush after every job so `/metrics` is live, not
-            // end-of-worker-lifetime.
-            rec.flush();
         }
     }
 
-    fn run_job(self: &Arc<Self>, rec: &mut bvf_obs::Recorder, job: Job) {
+    /// Run one job as the executor's 1-shard unit (no verification, no
+    /// tracing) and publish its outcome. Fault drills never reach the
+    /// store: the drill fires before the consult. The job's counters are
+    /// flushed *before* publishing, so a client that has read its result
+    /// always finds them in `/metrics`.
+    fn run_job(&self, rec: &mut bvf_obs::Recorder, job: Job) {
         if !job.hold.is_zero() {
             std::thread::sleep(job.hold);
         }
-        // Store consult (fault drills bypass: a drill must exercise the
-        // panic path, not be satisfied by a cache hit).
-        if !job.fault {
-            if let Some(store) = self.store.as_deref() {
-                if let Some(summary) = store.load(job.key, job.app.code) {
-                    rec.add(self.ids.store_hits, 1);
-                    self.finish_job(&job, Ok(Arc::new(summary)));
-                    return;
-                }
-                rec.add(self.ids.store_misses, 1);
-            }
-        }
-        let span = rec.begin(self.ids.simulate);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if job.fault {
-                panic!("injected fault: worker asked to fail on {}", job.app.code);
-            }
-            Campaign::simulate_one(
-                &job.config,
-                &job.views,
-                job.arch,
-                &self.sink,
-                &job.app,
-                None,
-            )
-        }));
-        rec.end(span);
-        let outcome = match outcome {
-            Ok(result) => {
-                rec.add(self.ids.simulations, 1);
-                if !job.fault {
-                    if let Some(store) = self.store.as_deref() {
-                        store.save(job.key, job.app.code, &result.summary);
-                    }
-                }
-                Ok(Arc::new(result.summary))
-            }
-            Err(payload) => {
-                rec.add(self.ids.failures, 1);
-                Err(panic_message(payload))
-            }
+        let env = UnitEnv {
+            config: &job.config,
+            arch: job.arch,
+            isa_mask: job.isa_mask,
+            sink: &self.sink,
+            store: self.store.as_deref(),
+            fault: job.fault.then_some(job.app.code),
+            tracer: &TraceSink::disabled(),
+            trace_root: "",
         };
+        let unit = Unit {
+            app: &job.app,
+            index: 0,
+            count: 1,
+            lane: 0,
+            verify: false,
+        };
+        let out = run_unit(&env, &unit);
+        let (hit, ok) = (out.store_hit, out.piece.is_ok());
+        rec.add(self.ids.store_hits, u64::from(hit == Some(true)));
+        rec.add(self.ids.store_misses, u64::from(hit == Some(false)));
+        if hit != Some(true) {
+            rec.record(self.ids.simulate, out.wall.as_nanos() as u64);
+            rec.add(self.ids.simulations, u64::from(ok));
+            rec.add(self.ids.failures, u64::from(!ok));
+        }
+        rec.flush();
+        let outcome = out
+            .piece
+            .map(|piece| Arc::new(UnitPiece::assemble(&job.config, [piece])));
         self.finish_job(&job, outcome);
     }
 
@@ -385,7 +366,7 @@ impl Shared {
     /// — never a deadlock, at worst a duplicate simulation.
     fn finish_job(&self, job: &Job, outcome: Outcome) {
         job.slot.publish(outcome);
-        if job.registered {
+        if !job.fault {
             let mut state = self.state.lock().expect("scheduler lock");
             state.inflight.remove(&job.key);
         }
@@ -516,9 +497,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &AtomicBool) 
                     shared.active_connections.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Nothing pending (`WouldBlock`) or a transient accept error.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -533,27 +512,19 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         Ok(r) => r,
         Err(RequestError::TooLarge) => {
             shared.sink.add(shared.ids.bad_requests, 1);
-            let _ = http::respond(
+            respond_error(
                 &mut stream,
                 413,
                 "Payload Too Large",
                 &[],
-                "application/json",
-                &protocol::error_body("request exceeds the size limit"),
+                "request exceeds the size limit",
             );
             drain_unread(&mut stream);
             return;
         }
         Err(RequestError::Malformed(why)) => {
             shared.sink.add(shared.ids.bad_requests, 1);
-            let _ = http::respond(
-                &mut stream,
-                400,
-                "Bad Request",
-                &[],
-                "application/json",
-                &protocol::error_body(why),
-            );
+            respond_error(&mut stream, 400, "Bad Request", &[], why);
             drain_unread(&mut stream);
             return;
         }
@@ -578,16 +549,27 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         ("POST", "/run") => handle_run(shared, &mut stream, &request),
         _ => {
             shared.sink.add(shared.ids.bad_requests, 1);
-            let _ = http::respond(
+            respond_error(
                 &mut stream,
                 404,
                 "Not Found",
                 &[],
-                "application/json",
-                &protocol::error_body("no such endpoint (try POST /run or GET /metrics)"),
+                "no such endpoint (try POST /run or GET /metrics)",
             );
         }
     }
+}
+
+/// Best-effort JSON error response (the peer may already be gone).
+fn respond_error(
+    stream: &mut TcpStream,
+    status: u16,
+    reason: &str,
+    headers: &[(&str, &str)],
+    message: &str,
+) {
+    let body = protocol::error_body(message);
+    let _ = http::respond(stream, status, reason, headers, "application/json", &body);
 }
 
 /// After rejecting a request whose body was never read, consume what the
@@ -617,14 +599,7 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
         Ok(r) => r,
         Err(message) => {
             shared.sink.add(shared.ids.bad_requests, 1);
-            let _ = http::respond(
-                stream,
-                400,
-                "Bad Request",
-                &[],
-                "application/json",
-                &protocol::error_body(&message),
-            );
+            respond_error(stream, 400, "Bad Request", &[], &message);
             return;
         }
     };
@@ -632,24 +607,22 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
         Ok(w) => w,
         Err(SubmitError::Full) => {
             shared.sink.add(shared.ids.rejected, 1);
-            let _ = http::respond(
+            respond_error(
                 stream,
                 429,
                 "Too Many Requests",
                 &[("Retry-After", "1")],
-                "application/json",
-                &protocol::error_body("queue full, retry shortly"),
+                "queue full, retry shortly",
             );
             return;
         }
         Err(SubmitError::ShuttingDown) => {
-            let _ = http::respond(
+            respond_error(
                 stream,
                 503,
                 "Service Unavailable",
                 &[],
-                "application/json",
-                &protocol::error_body("server is shutting down"),
+                "server is shutting down",
             );
             return;
         }
@@ -666,8 +639,7 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
         return;
     }
     let mut failed = 0usize;
-    for (app, waiter) in waiters {
-        let Waiter::Flight(slot) = waiter;
+    for (app, slot) in waiters {
         let line = match slot.wait(FLIGHT_TIMEOUT) {
             Some(Ok(summary)) => protocol::app_line(&app, &summary),
             Some(Err(error)) => {

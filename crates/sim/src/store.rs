@@ -25,10 +25,29 @@
 //! and hand-renamed files) plus the [`TraceSummary`] via its [`Persist`]
 //! encoding. Corrupt or stale entries fall back to simulation — the store
 //! can make a run faster, never wrong or failed.
+//!
+//! **Unit keys.** The campaign executor's work unit is shard `s` of `n` of
+//! one application, and `ResultStore::load_unit` / `save_unit` are the
+//! only place that maps a unit to an entry:
+//!
+//! * `n = 1` — the whole-application key above, with a [`TraceSummary`]
+//!   payload (a 1-shard unit produces its whole summary in the worker);
+//! * `n > 1` — the shard sub-key [`ResultStore::shard_key`], with a
+//!   [`LaunchShard`] payload echoing its shard coordinates. After merging,
+//!   the campaign also saves the summary under the whole-application key,
+//!   so a later 1-shard run (or `bvf-serve`) hits.
+//!
+//! This is why a 1-shard unit keeps the whole-app layout instead of a
+//! `shard_key(_, 0, 1)` sub-key, and why the unification of the unsharded
+//! and sharded paths did not bump [`STORE_FORMAT_VERSION`]: every entry
+//! an earlier build wrote stays reachable under the key it was written
+//! with, an unsharded campaign writes one entry per application (not two),
+//! and outside readers that locate results with [`ResultStore::key`] and
+//! [`ResultStore::load`] keep working.
 
 use std::path::Path;
 
-use bvf_gpu::{GpuConfig, LaunchShard, TraceSummary};
+use bvf_gpu::{merge_shards, GpuConfig, LaunchShard, TraceSummary};
 use bvf_isa::Architecture;
 use bvf_store::{fnv1a, subkey, DiskStore, Persist, Reader, StoreStats, Writer};
 
@@ -160,6 +179,44 @@ impl ResultStore {
         let _ = self.disk.save(key, w.bytes());
     }
 
+    /// Load the cached piece of one work unit — shard `index` of `count`
+    /// of the application whose whole-result key is `app_key` — or `None`
+    /// on any miss. See the module docs for the key rule.
+    pub(crate) fn load_unit(
+        &self,
+        app_key: u64,
+        app_code: &str,
+        index: u32,
+        count: u32,
+    ) -> Option<UnitPiece> {
+        if count == 1 {
+            self.load(app_key, app_code).map(UnitPiece::Whole)
+        } else {
+            let key = Self::shard_key(app_key, index, count);
+            self.load_shard(key, app_code, index, count)
+                .map(UnitPiece::Shard)
+        }
+    }
+
+    /// Store one work unit's piece under the key [`Self::load_unit`]
+    /// reads it from.
+    pub(crate) fn save_unit(
+        &self,
+        app_key: u64,
+        app_code: &str,
+        index: u32,
+        count: u32,
+        piece: &UnitPiece,
+    ) {
+        match piece {
+            UnitPiece::Whole(summary) => self.save(app_key, app_code, summary),
+            UnitPiece::Shard(shard) => {
+                let key = Self::shard_key(app_key, index, count);
+                self.save_shard(key, app_code, index, count, shard);
+            }
+        }
+    }
+
     /// Which of `apps` application indices this campaign should re-verify
     /// on a hit: a deterministic pseudo-random-by-index sample of
     /// [`Self::verify_sample`] indices (rank every index by the FNV-1a
@@ -183,6 +240,57 @@ impl ResultStore {
     /// Counter snapshot from the underlying disk store.
     pub fn stats(&self) -> StoreStats {
         self.disk.stats()
+    }
+}
+
+/// What one work unit produces and the store persists for it (see the
+/// module docs): a 1-shard unit's whole summary, or one shard of a launch
+/// split `n > 1` ways.
+// Both variants are large (~0.5 KiB); boxing either only moves the size
+// gap, and a piece is moved a few times per unit.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum UnitPiece {
+    /// The whole application (shard 0 of 1).
+    Whole(TraceSummary),
+    /// One shard of a split launch, merged on the campaign thread.
+    Shard(LaunchShard),
+}
+
+impl UnitPiece {
+    /// Wrap a freshly simulated shard of `count`. A 1-shard unit merges its
+    /// lone shard right away, in the worker — exactly what
+    /// `Application::run` does — so the DRAM replay stays parallel.
+    pub(crate) fn from_shard(config: &GpuConfig, shard: LaunchShard, count: u32) -> Self {
+        if count == 1 {
+            Self::Whole(merge_shards(config, core::slice::from_ref(&shard)))
+        } else {
+            Self::Shard(shard)
+        }
+    }
+
+    /// Dynamic instructions the piece covers.
+    pub(crate) fn dynamic_instructions(&self) -> u64 {
+        match self {
+            Self::Whole(summary) => summary.dynamic_instructions,
+            Self::Shard(shard) => shard.dynamic_instructions,
+        }
+    }
+
+    /// One application's summary from all of its units' pieces, in shard
+    /// order: a whole piece is already the answer, shards merge.
+    pub(crate) fn assemble(
+        config: &GpuConfig,
+        pieces: impl IntoIterator<Item = Self>,
+    ) -> TraceSummary {
+        let mut shards = Vec::new();
+        for piece in pieces {
+            match piece {
+                Self::Whole(summary) => return summary,
+                Self::Shard(shard) => shards.push(shard),
+            }
+        }
+        merge_shards(config, &shards)
     }
 }
 
