@@ -237,6 +237,18 @@ impl MetricsSink {
         }
     }
 
+    /// Record one histogram observation directly in the shared aggregate
+    /// (three `fetch_add`s) — the [`MetricsSink::add`] of histograms, for
+    /// threads that record too rarely to keep a [`Recorder`].
+    pub fn observe(&self, h: HistogramId, v: u64) {
+        if let Some(s) = &self.shared {
+            let base = h.0 as usize;
+            s.slots[base].fetch_add(1, Ordering::Relaxed);
+            s.slots[base + 1].fetch_add(v, Ordering::Relaxed);
+            s.slots[base + 2 + bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Current aggregated value of a counter (0 on a disabled sink).
     pub fn counter_value(&self, c: CounterId) -> u64 {
         match &self.shared {
@@ -765,6 +777,22 @@ mod tests {
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
+    }
+
+    #[test]
+    fn sink_observe_matches_recorder_observe() {
+        let direct = MetricsSink::enabled();
+        let batched = MetricsSink::enabled();
+        let (hd, hb) = (direct.histogram("h"), batched.histogram("h"));
+        let mut rec = batched.recorder();
+        for v in [0, 1, 5, 1 << 40, u64::MAX >> 1] {
+            direct.observe(hd, v);
+            rec.observe(hb, v);
+        }
+        rec.flush();
+        assert_eq!(direct.snapshot(), batched.snapshot());
+        // A disabled sink ignores the observation.
+        MetricsSink::disabled().observe(HistogramId(0), 7);
     }
 
     #[test]

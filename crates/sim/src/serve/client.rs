@@ -76,7 +76,10 @@ fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
 }
 
-fn parse_response(raw: &[u8]) -> std::io::Result<Response> {
+/// Parse one complete response read to EOF: status line, headers, then a
+/// `Content-Length` or chunked body. For callers that drive the socket
+/// themselves.
+pub fn parse_response(raw: &[u8]) -> std::io::Result<Response> {
     let text = std::str::from_utf8(raw).map_err(|_| bad("response is not UTF-8"))?;
     let (head, body) = text
         .split_once("\r\n\r\n")

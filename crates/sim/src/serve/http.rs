@@ -42,15 +42,15 @@ pub enum RequestError {
 
 /// Read one request from `stream`.
 ///
-/// The caller is expected to have set a read timeout: a peer that opens a
-/// connection and never finishes its head would otherwise pin a handler
-/// thread forever.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
+/// For a socket, the caller is expected to have set a read timeout: a
+/// peer that opens a connection and never finishes its head would
+/// otherwise pin a handler thread forever.
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, RequestError> {
     let mut reader = BufReader::new(stream);
     let mut head_bytes = 0usize;
     let mut line = String::new();
     let mut read_line =
-        |reader: &mut BufReader<&mut TcpStream>, line: &mut String| -> Result<(), RequestError> {
+        |reader: &mut BufReader<&mut R>, line: &mut String| -> Result<(), RequestError> {
             line.clear();
             let n = reader.read_line(line).map_err(RequestError::Io)?;
             if n == 0 {
@@ -171,5 +171,106 @@ impl<'a> ChunkedWriter<'a> {
     pub fn finish(self) -> std::io::Result<()> {
         self.stream.write_all(b"0\r\n\r\n")?;
         self.stream.flush()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const METHODS: [&str; 4] = ["GET", "POST", "PUT", "DELETE"];
+
+    /// A well-formed request: `path` and `body` are printable ASCII, and
+    /// `headers` are `(name letter, value length)` pairs padded with `v`.
+    fn valid_request(method: usize, path: &[u8], headers: &[(u8, usize)], body: &[u8]) -> Vec<u8> {
+        let mut raw = format!(
+            "{} /{} HTTP/1.1\r\nContent-Length: {}\r\n",
+            METHODS[method],
+            String::from_utf8_lossy(path),
+            body.len()
+        );
+        for &(name, len) in headers {
+            raw.push_str(&format!(
+                "X-{}: {}\r\n",
+                char::from(b'a' + name),
+                "v".repeat(len)
+            ));
+        }
+        raw.push_str("\r\n");
+        let mut raw = raw.into_bytes();
+        raw.extend_from_slice(body);
+        raw
+    }
+
+    fn parse(mut raw: &[u8]) -> Result<Request, RequestError> {
+        read_request(&mut raw)
+    }
+
+    proptest! {
+        /// Arbitrary bytes are answered with `Ok` or `Err`, never a panic.
+        #[test]
+        fn random_bytes_never_panic(raw in proptest::collection::vec(any::<u8>(), 0..512)) {
+            let _ = parse(&raw);
+        }
+
+        /// A valid request parses back to its parts, and every strict
+        /// prefix of it is an error: the peer closed mid-request.
+        #[test]
+        fn valid_requests_parse_and_truncations_fail(
+            method in 0usize..4,
+            path in proptest::collection::vec(b'!'..=b'~', 0..48),
+            headers in proptest::collection::vec((0u8..26, 0usize..64), 0..8),
+            body in proptest::collection::vec(b' '..=b'~', 0..256),
+            cut: u64,
+        ) {
+            let raw = valid_request(method, &path, &headers, &body);
+            let request = parse(&raw).expect("a valid request parses");
+            prop_assert_eq!(request.method.as_str(), METHODS[method]);
+            prop_assert_eq!(request.path.as_bytes(), [b"/", &path[..]].concat().as_slice());
+            prop_assert_eq!(request.body.as_bytes(), body.as_slice());
+            let cut = (cut % raw.len() as u64) as usize;
+            prop_assert!(parse(&raw[..cut]).is_err(), "prefix of {cut} bytes parsed");
+        }
+
+        /// Flipping any single bit of a valid request never panics.
+        #[test]
+        fn bit_flips_never_panic(
+            path in proptest::collection::vec(b'!'..=b'~', 0..48),
+            headers in proptest::collection::vec((0u8..26, 0usize..64), 0..8),
+            body in proptest::collection::vec(b' '..=b'~', 0..256),
+            bit: u64,
+        ) {
+            let mut raw = valid_request(1, &path, &headers, &body);
+            let bit = (bit % (raw.len() as u64 * 8)) as usize;
+            raw[bit / 8] ^= 1 << (bit % 8);
+            let _ = parse(&raw);
+        }
+
+        /// A head over `MAX_HEAD_BYTES` is `TooLarge`, whether one line or
+        /// many carry it.
+        #[test]
+        fn oversized_heads_are_too_large(
+            lines in 1usize..64,
+            excess in 1usize..4096,
+        ) {
+            let pad = (MAX_HEAD_BYTES + excess) / lines + 1;
+            let headers = vec![(0u8, pad); lines];
+            let raw = valid_request(0, b"", &headers, b"");
+            prop_assert!(matches!(parse(&raw), Err(RequestError::TooLarge)));
+        }
+
+        /// A `Content-Length` over `MAX_BODY_BYTES` is `TooLarge` before
+        /// any body byte is read.
+        #[test]
+        fn oversized_bodies_are_too_large(
+            length in (MAX_BODY_BYTES as u64 + 1)..(1 << 40),
+            sent in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut raw =
+                format!("POST /run HTTP/1.1\r\nContent-Length: {length}\r\n\r\n").into_bytes();
+            raw.extend_from_slice(&sent);
+            prop_assert!(matches!(parse(&raw), Err(RequestError::TooLarge)));
+        }
     }
 }

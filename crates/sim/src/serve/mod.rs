@@ -28,14 +28,25 @@
 //! **Priorities.** Jobs carry the request's `priority` (higher first);
 //! ties break FIFO by submission sequence, so equal-priority work is
 //! served in arrival order and nothing starves behind later peers.
+//!
+//! **Admission and shutdown.** The accept loop blocks in `accept`, so a
+//! connection is handed to its handler the moment it arrives; nothing
+//! polls. [`Server::shutdown`] sets the stop flag and then wakes the
+//! blocked `accept` with one loopback connection to the server's own port
+//! (an unspecified bind address maps to the loopback address of its
+//! family). The loop re-checks the flag after every `accept` and drops
+//! whatever it accepted once the flag is set. The drain that follows
+//! waits on a condvar that every finished connection notifies, for at
+//! most 30 s. `serve.admit_ns` records, per `POST /run`, the time from
+//! `accept` returning to the flushed `accepted` line.
 
 pub mod client;
 pub mod http;
 pub mod protocol;
 
 use std::collections::{BinaryHeap, HashMap};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -56,6 +67,14 @@ use self::protocol::SimRequest;
 /// loaded box is minutes, and a lost worker should fail the request
 /// rather than hang the client forever.
 const FLIGHT_TIMEOUT: Duration = Duration::from_secs(600);
+
+/// How long shutdown waits for open connections to finish before it
+/// stops the workers anyway, so a wedged client cannot hold it hostage.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Pause after a failed `accept` (EMFILE, ECONNABORTED, ...), so a
+/// persistent error cannot spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Configuration for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -108,6 +127,9 @@ struct Ids {
     simulate: TimerId,
     /// Nanoseconds a job sat queued before a worker picked it up.
     queue_wait: HistogramId,
+    /// Nanoseconds from `accept` returning to the flushed `accepted`
+    /// line of a `/run` request.
+    admit: HistogramId,
 }
 
 impl Ids {
@@ -124,6 +146,7 @@ impl Ids {
             scrapes: sink.counter("serve.scrapes"),
             simulate: sink.timer("serve.simulate"),
             queue_wait: sink.histogram("serve.queue_wait_ns"),
+            admit: sink.histogram("serve.admit_ns"),
         }
     }
 }
@@ -221,7 +244,9 @@ struct Shared {
     sink: MetricsSink,
     ids: Ids,
     store: Option<Arc<ResultStore>>,
-    active_connections: AtomicUsize,
+    /// Open connections; `drained` is notified when the count reaches 0.
+    connections: Mutex<usize>,
+    drained: Condvar,
 }
 
 /// Why a request could not be admitted.
@@ -360,26 +385,44 @@ impl Shared {
         self.finish_job(&job, outcome);
     }
 
-    /// Publish the outcome, then retire the flight. Publishing first means
-    /// a handler that attaches between the two steps gets its result
-    /// immediately; one that looks up after removal starts a fresh flight
-    /// — never a deadlock, at worst a duplicate simulation.
+    /// Retire the flight, then publish the outcome. Retiring first means a
+    /// client that has read its result and repeats the request never
+    /// attaches to the finished flight: it starts a fresh one, which the
+    /// store (already written by `run_unit`) answers. Handlers that
+    /// attached earlier hold the slot and get the outcome on publish.
     fn finish_job(&self, job: &Job, outcome: Outcome) {
-        job.slot.publish(outcome);
         if !job.fault {
             let mut state = self.state.lock().expect("scheduler lock");
             state.inflight.remove(&job.key);
         }
+        job.slot.publish(outcome);
     }
 }
 
-/// Decrement-on-drop guard for the live-connection count, so a panicking
-/// handler cannot wedge graceful shutdown.
+/// Counts one open connection from creation until drop, so a panicking
+/// handler (or a handler thread that never spawned) cannot wedge graceful
+/// shutdown.
 struct ConnGuard(Arc<Shared>);
+
+impl ConnGuard {
+    fn enter(shared: &Arc<Shared>) -> Self {
+        *shared.connections.lock().expect("connection count") += 1;
+        Self(shared.clone())
+    }
+}
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        self.0.active_connections.fetch_sub(1, Ordering::SeqCst);
+        // Must not panic: a count stays valid whoever poisoned the lock.
+        let mut open = self
+            .0
+            .connections
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *open -= 1;
+        if *open == 0 {
+            self.0.drained.notify_all();
+        }
     }
 }
 
@@ -398,7 +441,6 @@ impl Server {
     pub fn start(opts: ServeOptions) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&opts.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let sink = MetricsSink::enabled();
         let ids = Ids::register(&sink);
         let shared = Arc::new(Shared {
@@ -413,7 +455,8 @@ impl Server {
             sink,
             ids,
             store: opts.store,
-            active_connections: AtomicUsize::new(0),
+            connections: Mutex::new(0),
+            drained: Condvar::new(),
         });
         let workers = (0..opts.workers.max(1))
             .map(|i| {
@@ -457,17 +500,20 @@ impl Server {
     /// has stopped (drain waits are bounded, not infinite).
     pub fn shutdown(self) {
         self.stop_accept.store(true, Ordering::SeqCst);
+        // Wake the blocked `accept`; the loop sees the flag and returns.
+        // The listener's backlog takes the connection even while the loop
+        // is busy, so the timeout only guards a host that drops loopback
+        // SYNs.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
         let _ = self.accept_thread.join();
         // Existing connections keep being served: their jobs are already
         // queued (or running), and workers drain the queue below before
-        // exiting. Bound the wait so a wedged client cannot hold shutdown
-        // hostage forever.
-        let drain_deadline = Instant::now() + Duration::from_secs(30);
-        while self.shared.active_connections.load(Ordering::SeqCst) > 0
-            && Instant::now() < drain_deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // exiting.
+        let open = self.shared.connections.lock().expect("connection count");
+        let _ = self
+            .shared
+            .drained
+            .wait_timeout_while(open, DRAIN_TIMEOUT, |open| *open > 0);
         {
             let mut state = self.shared.state.lock().expect("scheduler lock");
             state.shutdown = true;
@@ -479,31 +525,45 @@ impl Server {
     }
 }
 
+/// Where [`Server::shutdown`] connects to wake the accept loop: the bound
+/// address, with an unspecified IP replaced by the loopback address of
+/// the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Block in `accept` and hand each connection to its own handler thread
+/// until `stop` is set. Whatever `accept` returns after that (the
+/// shutdown wake, or a late client) is dropped unserved.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        let admitted = Instant::now();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                shared.active_connections.fetch_add(1, Ordering::SeqCst);
-                let handler_shared = shared.clone();
-                let spawned = std::thread::Builder::new()
+                // A failed spawn drops the closure, and with it the guard.
+                let guard = ConnGuard::enter(shared);
+                let _ = std::thread::Builder::new()
                     .name("bvf-serve-conn".to_string())
                     .spawn(move || {
-                        let guard = ConnGuard(handler_shared.clone());
-                        handle_connection(&handler_shared, stream);
+                        handle_connection(&guard.0, stream, admitted);
                         drop(guard);
                     });
-                if spawned.is_err() {
-                    shared.active_connections.fetch_sub(1, Ordering::SeqCst);
-                }
             }
-            // Nothing pending (`WouldBlock`) or a transient accept error.
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
 
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
+fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, admitted: Instant) {
     // A peer that stalls mid-request (or stops reading its response) gets
     // disconnected instead of pinning this thread.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
@@ -546,7 +606,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 &body,
             );
         }
-        ("POST", "/run") => handle_run(shared, &mut stream, &request),
+        ("POST", "/run") => handle_run(shared, &mut stream, &request, admitted),
         _ => {
             shared.sink.add(shared.ids.bad_requests, 1);
             respond_error(
@@ -594,7 +654,7 @@ fn drain_unread(stream: &mut TcpStream) {
     }
 }
 
-fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
+fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request, admitted: Instant) {
     let req = match protocol::parse_request(&request.body) {
         Ok(r) => r,
         Err(message) => {
@@ -638,6 +698,9 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
     {
         return;
     }
+    shared
+        .sink
+        .observe(shared.ids.admit, admitted.elapsed().as_nanos() as u64);
     let mut failed = 0usize;
     for (app, slot) in waiters {
         let line = match slot.wait(FLIGHT_TIMEOUT) {
@@ -659,4 +722,18 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, request: &Request) {
     }
     let _ = out.line(&protocol::done_line(req.apps.len(), failed));
     let _ = out.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_unspecified_to_loopback_of_the_same_family() {
+        let wake = |a: &str| wake_addr(a.parse().expect("address")).to_string();
+        assert_eq!(wake("0.0.0.0:8479"), "127.0.0.1:8479");
+        assert_eq!(wake("[::]:8479"), "[::1]:8479");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
+        assert_eq!(wake("[fe80::1]:80"), "[fe80::1]:80");
+    }
 }

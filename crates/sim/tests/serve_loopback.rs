@@ -11,7 +11,11 @@
 //! * **fault isolation** — an `inject_panic` request gets a structured
 //!   failure record while the server keeps serving, and the drill cannot
 //!   poison a concurrent clean request;
-//! * **observability** — `/metrics` is a valid Prometheus exposition.
+//! * **observability** — `/metrics` is a valid Prometheus exposition,
+//!   and every admitted `/run` lands in the `serve.admit_ns` histogram;
+//! * **shutdown** — an idle server stops promptly (the blocked `accept`
+//!   is woken), and a request in flight when shutdown starts is still
+//!   answered in full.
 //!
 //! Tests that depend on overlapping requests use the request `hold_ms`
 //! hook (the worker sleeps *inside* the flight, before consulting store
@@ -56,6 +60,18 @@ fn direct_body(body: &str) -> String {
 fn counter(server: &Server, name: &'static str) -> u64 {
     let id = server.sink().counter(name);
     server.sink().counter_value(id)
+}
+
+fn histogram_count(server: &Server, name: &str) -> u64 {
+    server
+        .sink()
+        .snapshot()
+        .into_iter()
+        .find_map(|m| match m.value {
+            bvf_obs::MetricValue::Histogram { count, .. } if m.name == name => Some(count),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no histogram {name}"))
 }
 
 #[test]
@@ -336,5 +352,95 @@ fn apps_list_identity_is_part_of_the_flight_key() {
         "different app sets must never share a flight"
     );
     assert_eq!(counter(&server, "serve.simulations"), 3);
+    server.shutdown();
+}
+
+#[test]
+fn idle_server_shuts_down_promptly_on_any_bind_address() {
+    // Nothing is connected, so the accept thread is blocked in `accept`:
+    // only the shutdown's wake connection can release it. An unspecified
+    // bind address must be woken through loopback. Shutdown runs on its
+    // own thread so a missed wake fails the test instead of hanging it.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::start(ServeOptions {
+            addr: addr.to_string(),
+            workers: 2,
+            queue_capacity: 4,
+            store: None,
+        })
+        .expect("server starts");
+        let (done, stopped) = std::sync::mpsc::channel();
+        let stopping = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        stopped
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("{addr}: shutdown did not return within 2 s"));
+        stopping.join().expect("shutdown thread");
+    }
+}
+
+#[test]
+fn request_in_flight_at_shutdown_is_answered_in_full() {
+    // The client sends its head and half its body, shutdown starts, and
+    // only then does the rest of the body arrive. The drain must keep the
+    // connection (and admission) open until the request is answered; a
+    // shutdown that stopped admitting at once would answer 503.
+    use std::io::{Read, Write};
+    let server = start(1, 4);
+    let addr = server.addr();
+    let body = r#"{"apps":["VAD"],"sms":1,"hold_ms":500}"#;
+    let raw = format!(
+        "POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let (first, rest) = raw.split_at(raw.len() - body.len() / 2);
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(TIMEOUT)).expect("timeout");
+    stream.write_all(first.as_bytes()).expect("send head");
+    // The accept loop hands the connection to a handler at once; give it
+    // ample time before shutdown stops accepting.
+    std::thread::sleep(Duration::from_millis(200));
+    let stopping = std::thread::spawn(move || server.shutdown());
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(
+        !stopping.is_finished(),
+        "shutdown returned before the drain"
+    );
+    stream.write_all(rest.as_bytes()).expect("send rest");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read response");
+    let resp = client::parse_response(&response).expect("response parses");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(
+        resp.body.contains(r#""record":"done","apps":1,"failed":0"#),
+        "{}",
+        resp.body
+    );
+    assert_eq!(resp.body, direct_body(body));
+    stopping.join().expect("shutdown thread");
+}
+
+#[test]
+fn every_admitted_run_is_in_the_admission_histogram() {
+    let server = start(2, 16);
+    let addr = server.addr().to_string();
+    let first = client::scrape_metrics(&addr, TIMEOUT).expect("scrape");
+    assert!(
+        first.body.contains("# TYPE bvf_serve_admit_ns histogram\n"),
+        "admission histogram must be listed from the first scrape"
+    );
+    const N: u64 = 3;
+    for _ in 0..N {
+        let resp =
+            client::post_run(&addr, r#"{"apps":["VAD"],"sms":1}"#, TIMEOUT).expect("request");
+        assert_eq!(resp.status, 200);
+    }
+    // A rejected request is not admitted and records nothing.
+    let bad = client::post_run(&addr, r#"{"apps":["NOPE"]}"#, TIMEOUT).expect("bad app");
+    assert_eq!(bad.status, 400);
+    assert_eq!(counter(&server, "serve.requests"), N);
+    assert_eq!(histogram_count(&server, "serve.admit_ns"), N);
     server.shutdown();
 }
