@@ -88,7 +88,7 @@ pub enum Access {
 }
 
 /// One cache instance (tags + LRU state only).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cache {
     config: CacheConfig,
     /// `sets × assoc` entries of (tag, valid); LRU order per set tracked by
@@ -98,7 +98,29 @@ pub struct Cache {
     tick: u64,
     hits: u64,
     misses: u64,
+    /// Every entry filled since the last reset, once each: an entry's
+    /// first fill is the one that finds its stamp still 0 (stamps start
+    /// at 1). Only entries listed here differ from the [`Cache::new`]
+    /// state, so [`Cache::reset`] touches nothing else. Bookkeeping, not
+    /// cache state: equality ignores it and it is never serialized.
+    #[serde(skip)]
+    filled: Vec<usize>,
 }
+
+impl PartialEq for Cache {
+    fn eq(&self, other: &Self) -> bool {
+        // `filled` is determined (as a set) by the stamps: it lists
+        // exactly the entries whose stamp is non-zero.
+        self.config == other.config
+            && self.tags == other.tags
+            && self.stamps == other.stamps
+            && self.tick == other.tick
+            && self.hits == other.hits
+            && self.misses == other.misses
+    }
+}
+
+impl Eq for Cache {}
 
 impl Cache {
     /// Build an empty (all-invalid) cache.
@@ -111,7 +133,21 @@ impl Cache {
             tick: 0,
             hits: 0,
             misses: 0,
+            filled: Vec::new(),
         }
+    }
+
+    /// Return to exactly the [`Cache::new`] state — every tag invalid,
+    /// every stamp and counter zero — in O(entries filled since the last
+    /// reset) rather than O(capacity).
+    pub(crate) fn reset(&mut self) {
+        for i in self.filled.drain(..) {
+            self.tags[i] = None;
+            self.stamps[i] = 0;
+        }
+        self.tick = 0;
+        self.hits = 0;
+        self.misses = 0;
     }
 
     /// The cache configuration.
@@ -169,6 +205,9 @@ impl Cache {
         let victim = (set_start..set_end)
             .min_by_key(|&i| (self.tags[i].is_some(), self.stamps[i]))
             .expect("set is non-empty");
+        if self.stamps[victim] == 0 {
+            self.filled.push(victim);
+        }
         let evicted = self.tags[victim];
         self.tags[victim] = Some(line);
         self.stamps[victim] = self.tick;
@@ -224,6 +263,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> Cache {
         // 4 sets × 2 ways × 128B lines = 1KB
@@ -296,6 +336,79 @@ mod tests {
         let mut c = Cache::new(cfg);
         assert!(matches!(c.access_allocate(0), Access::Miss { .. }));
         assert_eq!(c.access_allocate(0), Access::Hit);
+    }
+
+    #[test]
+    fn reset_matches_new_and_keeps_counting_from_zero() {
+        let mut c = small();
+        for a in [0, 0x200, 0x400, 0x600, 0] {
+            c.access_allocate(a);
+        }
+        c.probe(0x200);
+        c.invalidate(0x400);
+        assert_ne!(c, small());
+        c.reset();
+        assert_eq!(c, small());
+        assert!(matches!(
+            c.access_allocate(0),
+            Access::Miss { evicted: None }
+        ));
+        assert_eq!((c.hits(), c.misses()), (0, 1));
+    }
+
+    /// Geometries for the reset property: tiny caches that evict within a
+    /// few accesses, odd set counts (3 sets; the 24-set 12 KB texture
+    /// cache) and a direct-mapped one.
+    const GEOMETRIES: [(u64, u32, u32); 6] = [
+        (1024, 128, 2),
+        (768, 128, 2),
+        (512, 64, 1),
+        (256, 32, 8),
+        (12 << 10, 128, 4),
+        (16 << 10, 128, 4),
+    ];
+
+    /// Apply one encoded operation; the result folds every observable
+    /// answer (`Access`, probe/invalidate hit) into one comparable value.
+    fn apply(c: &mut Cache, (op, addr): (u8, u64)) -> (u8, Option<Access>, bool) {
+        match op % 3 {
+            0 => (0, Some(c.access_allocate(addr)), false),
+            1 => (1, None, c.probe(addr)),
+            _ => (2, None, c.invalidate(addr)),
+        }
+    }
+
+    proptest! {
+        /// `reset` is indistinguishable from `Cache::new`: after any
+        /// history, a following sequence sees the same `Access` values,
+        /// probe/invalidate answers and counters as on a fresh cache, and
+        /// ends in an equal state.
+        #[test]
+        fn reset_is_indistinguishable_from_new(
+            g in 0usize..GEOMETRIES.len(),
+            a in proptest::collection::vec((0u8..3, 0u64..96), 0..300),
+            b in proptest::collection::vec((0u8..3, 0u64..96), 0..300),
+        ) {
+            let (bytes, line, assoc) = GEOMETRIES[g];
+            let cfg = CacheConfig::new(bytes, line, assoc);
+            // Addresses span ~3× the capacity in lines, so sequences mix
+            // hits, cold misses and LRU evictions.
+            let span = 3 * bytes / 96;
+            let addr = |(op, k): (u8, u64)| (op, k * span + k % 7);
+            let mut reused = Cache::new(cfg);
+            for &x in &a {
+                apply(&mut reused, addr(x));
+            }
+            reused.reset();
+            prop_assert_eq!(&reused, &Cache::new(cfg));
+            let mut fresh = Cache::new(cfg);
+            for &x in &b {
+                prop_assert_eq!(apply(&mut reused, addr(x)), apply(&mut fresh, addr(x)));
+            }
+            prop_assert_eq!(reused.hits(), fresh.hits());
+            prop_assert_eq!(reused.misses(), fresh.misses());
+            prop_assert_eq!(&reused, &fresh);
+        }
     }
 
     #[test]

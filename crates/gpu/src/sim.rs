@@ -418,10 +418,12 @@ struct SharedState {
     /// repeated hash insert is measurable. `u64::MAX` = none yet.
     last_touched: [u64; 9],
     /// Every global store of the launch, in execution order. Each SM runs
-    /// against its own clone of the prepared memory (so its line images
-    /// cannot observe another SM's writes — the isolation the shard merge
-    /// law rests on); the log replays all writes onto the caller-visible
-    /// memory once the SM loop finishes.
+    /// against the prepared memory image (so its line images cannot
+    /// observe another SM's writes — the isolation the shard merge law
+    /// rests on): after an SM finishes, the words named in its slice of
+    /// the log are restored from the prepared image. The log then replays
+    /// all writes onto the caller-visible memory once the SM loop
+    /// finishes.
     store_log: Vec<(BufferId, u32, u32)>,
     /// Scratch for one cache line image, reused across every memory event.
     line_buf: Vec<u8>,
@@ -1170,16 +1172,18 @@ impl Gpu {
             .is_enabled()
             .then(|| self.tracer.recorder(self.trace_tid));
         let trace_t0 = trace_rec.as_ref().map_or(0, |t| t.now_ns());
-        // The prepared memory image. Every SM simulates against its own
-        // clone: line images and load values must not observe another
-        // SM's stores, or a shard boundary between two SMs would change
-        // recorded bits (SMs run concurrently on real hardware — there
-        // is no defined cross-SM store order to observe).
+        // The prepared memory image. Every SM simulates against this
+        // image exactly: line images and load values must not observe
+        // another SM's stores, or a shard boundary between two SMs would
+        // change recorded bits (SMs run concurrently on real hardware —
+        // there is no defined cross-SM store order to observe). One
+        // working copy serves every SM; each SM's stores are undone from
+        // `pristine` before the next SM starts.
         let pristine = std::mem::take(&mut self.memory);
         let mut shared = SharedState {
             collector,
-            memory: GlobalMemory::new(),
-            l2: Vec::new(),
+            memory: pristine.clone(),
+            l2: (0..cfg.l2_banks).map(|_| Cache::new(cfg.l2_bank)).collect(),
             dram_log: Vec::new(),
             l2_line_bytes: cfg.l2_bank.line_bytes(),
             flit_bytes: cfg.noc_flit_bytes,
@@ -1210,17 +1214,19 @@ impl Gpu {
             if my_ctas.is_empty() {
                 continue;
             }
-            // Every SM gets a fresh L2 slice, memory image and Fig. 11
-            // sampling phase: an SM's results must not depend on which
-            // other SMs ran before it in this process, so that a shard
-            // boundary anywhere in the SM range changes nothing. (This
-            // also removes a serialization artifact of the sequential SM
-            // loop: later SMs no longer warm up on earlier SMs' L2
-            // fills.) DRAM needs no per-SM state here — misses append to
-            // the shard's request log, and the channels themselves exist
-            // only during the launch-global replay in `merge_shards`.
-            shared.l2 = (0..cfg.l2_banks).map(|_| Cache::new(cfg.l2_bank)).collect();
-            shared.memory = pristine.clone();
+            // Every SM starts from a fresh L2 slice, the prepared memory
+            // image and Fig. 11 sampling phase: an SM's results must not
+            // depend on which other SMs ran before it in this process, so
+            // that a shard boundary anywhere in the SM range changes
+            // nothing. (This also removes a serialization artifact of the
+            // sequential SM loop: later SMs no longer warm up on earlier
+            // SMs' L2 fills.) The L2 banks and the working memory are
+            // built in that state once, before the loop, and each SM
+            // resets them to it when it finishes (below). DRAM needs no
+            // per-SM state here — misses append to the shard's request
+            // log, and the channels themselves exist only during the
+            // launch-global replay in `merge_shards`.
+            let sm_log_start = shared.store_log.len();
             shared.reg_write_counter = 0;
             let mut sm = SmState {
                 id: sm_id,
@@ -1253,6 +1259,15 @@ impl Gpu {
             l2_hits += shared.l2.iter().map(Cache::hits).sum::<u64>();
             l2_accesses += shared.l2.iter().map(|c| c.hits() + c.misses()).sum::<u64>();
             smem_conflict_cycles += sm.smem_conflict_cycles;
+
+            // Reset to the fresh state for the next SM: undo this SM's L2
+            // fills and restore every word it stored from the prepared
+            // image (a word stored twice is simply restored twice). Both
+            // cost what the SM did, not what the GPU holds.
+            shared.l2.iter_mut().for_each(Cache::reset);
+            for &(buf, idx, _) in &shared.store_log[sm_log_start..] {
+                shared.memory.store(buf, idx, pristine.load(buf, idx));
+            }
         }
 
         // Replay every SM's stores onto the prepared image so callers can
@@ -2092,5 +2107,85 @@ mod tests {
             stall(cold_misses) - stall(warm_misses),
             "core-cycle delta must equal the stall formula over the miss delta"
         );
+    }
+
+    /// Per-SM isolation regression: SMs share one L2 set and one working
+    /// memory image that are reset between SMs, so every SM must still see
+    /// exactly the fresh state. In this kernel each CTA stores its word of
+    /// buffer 1 twice, then loads (and copies to buffer 2) the word of
+    /// buffer 1 that the previous CTA — on the previous SM — stored.
+    #[test]
+    fn reset_between_sms_equals_isolated_one_sm_shards() {
+        const SMS: u32 = 3;
+        const CTAS: u32 = 6;
+        const THREADS: u32 = 64;
+        let n = (CTAS * THREADS) as usize;
+        let mut k = Kernel::new("store_twice_read_neighbour", 6);
+        k.body.push(Stmt::op3(
+            Op::Mov,
+            0,
+            Operand::Special(Special::GlobalTid),
+            Operand::Imm(0),
+        ));
+        k.body.push(Stmt::op3(
+            Op::LdGlobal(BufferId(0)),
+            1,
+            Operand::Reg(0),
+            Operand::Imm(0),
+        ));
+        for add in [1, 2] {
+            k.body
+                .push(Stmt::op3(Op::IAdd, 2, Operand::Reg(1), Operand::Imm(add)));
+            k.body.push(Stmt::op4(
+                Op::StGlobal(BufferId(1)),
+                0,
+                Operand::Reg(0),
+                Operand::Imm(0),
+                Operand::Reg(2),
+            ));
+        }
+        // Index `gtid - THREADS`, wrapping: the previous CTA's word.
+        k.body.push(Stmt::op3(
+            Op::LdGlobal(BufferId(1)),
+            3,
+            Operand::Reg(0),
+            Operand::Imm(n as u32 - THREADS),
+        ));
+        k.body.push(Stmt::op4(
+            Op::StGlobal(BufferId(2)),
+            0,
+            Operand::Reg(0),
+            Operand::Imm(0),
+            Operand::Reg(3),
+        ));
+        let lc = LaunchConfig::new(CTAS, THREADS);
+        let prepared = || {
+            let mut cfg = GpuConfig::baseline();
+            cfg.sms = SMS;
+            let mut gpu = Gpu::new(cfg, CodingView::standard_set(0));
+            let mem = gpu.memory_mut();
+            mem.add_buffer(BufferId(0), (0..n as u32).map(|i| i * 0x0101).collect());
+            mem.add_buffer(BufferId(1), (0..n as u32).map(|i| !i).collect());
+            mem.add_buffer(BufferId(2), vec![0; n]);
+            gpu
+        };
+
+        let mut gpu = prepared();
+        let launched = gpu.launch(&k, lc);
+        let shards: Vec<LaunchShard> = (0..SMS)
+            .map(|i| prepared().launch_shard(&k, lc, i, SMS))
+            .collect();
+        assert_eq!(launched, merge_shards(gpu.config(), &shards));
+
+        // Memory after the launch: the prepared image plus every store —
+        // buffer 1 holds the second store, buffer 2 the *prepared* words
+        // of buffer 1 that the previous SM had overwritten.
+        let mut expected = prepared().memory().clone();
+        for i in 0..n as u32 {
+            let neighbour = (i + n as u32 - THREADS) % n as u32;
+            expected.store(BufferId(1), i, i * 0x0101 + 2);
+            expected.store(BufferId(2), i, !neighbour);
+        }
+        assert_eq!(gpu.memory(), &expected);
     }
 }

@@ -366,6 +366,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -488,5 +489,97 @@ mod tests {
     fn unicode_passthrough() {
         let v = parse("\"héllo — ✓\"").unwrap();
         assert_eq!(v.as_str(), Some("héllo — ✓"));
+    }
+
+    /// Decode a JSON document from a seed stream: every value kind,
+    /// escapes (including `\u` surrogate pairs), raw non-ASCII, signed
+    /// and exponent numbers, and nesting up to a few levels.
+    fn gen_json(words: &mut std::slice::Iter<'_, u32>, depth: u32, out: &mut String) {
+        let w = words.next().copied().unwrap_or(0);
+        let kind = if depth >= 4 { w % 5 } else { w % 7 };
+        match kind {
+            0 => out.push_str(["null", "true", "false"][(w >> 8) as usize % 3]),
+            1 => out.push_str(&format!("{}", (w >> 3) as i32 - (1 << 27))),
+            2 => out.push_str(&format!("-{}.{}e{}", w >> 20, w & 0xff, (w >> 8) % 40)),
+            3 | 4 => {
+                out.push('"');
+                for i in 0..(w >> 8) % 6 {
+                    out.push_str(
+                        [
+                            "a",
+                            "\\\"",
+                            "\\\\",
+                            "\\n",
+                            "\\u00e9",
+                            "\\ud83d\\ude00",
+                            "é",
+                            "✓",
+                        ][((w >> (i * 3)) & 7) as usize],
+                    );
+                }
+                out.push('"');
+            }
+            5 => {
+                out.push('[');
+                for i in 0..(w >> 8) % 4 {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    gen_json(words, depth + 1, out);
+                }
+                out.push(']');
+            }
+            _ => {
+                out.push('{');
+                for i in 0..(w >> 8) % 4 {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(&format!("\"k{i}\" : "));
+                    gen_json(words, depth + 1, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    fn valid_json(seed: &[u32]) -> String {
+        let mut out = String::new();
+        gen_json(&mut seed.iter(), 0, &mut out);
+        out
+    }
+
+    proptest! {
+        /// Arbitrary text is answered with `Ok` or `Err`, never a panic.
+        #[test]
+        fn random_text_never_panics(raw in proptest::collection::vec(any::<u8>(), 0..512)) {
+            let _ = parse(&String::from_utf8_lossy(&raw));
+        }
+
+        /// A generated document parses, re-serializes to an equal value,
+        /// and every prefix of it parses or errs without panicking.
+        #[test]
+        fn valid_documents_parse_and_truncations_never_panic(
+            seed in proptest::collection::vec(any::<u32>(), 1..48),
+            cut: u64,
+        ) {
+            let src = valid_json(&seed);
+            let v = parse(&src).expect("a generated document parses");
+            prop_assert_eq!(parse(&v.to_json_string()).expect("re-serialized"), v);
+            let cut = (cut % src.len() as u64) as usize;
+            let _ = parse(&String::from_utf8_lossy(&src.as_bytes()[..cut]));
+        }
+
+        /// Flipping any single bit of a valid document never panics.
+        #[test]
+        fn bit_flips_never_panic(
+            seed in proptest::collection::vec(any::<u32>(), 1..48),
+            bit: u64,
+        ) {
+            let mut raw = valid_json(&seed).into_bytes();
+            let bit = (bit % (raw.len() as u64 * 8)) as usize;
+            raw[bit / 8] ^= 1 << (bit % 8);
+            let _ = parse(&String::from_utf8_lossy(&raw));
+        }
     }
 }

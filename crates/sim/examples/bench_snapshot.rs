@@ -1,13 +1,14 @@
 //! Campaign throughput snapshot and regression gate for CI.
 //!
 //! Runs the full 58-app baseline campaign sequentially (best of three runs,
-//! to damp scheduler noise), then once more with `--shards auto` over the
-//! full worker pool, writes both measurements to `BENCH_collector.json`
-//! in the current directory, and — when `--baseline <file>` is given —
-//! fails with a non-zero exit if the measured sequential throughput drops
-//! below 90% of the committed baseline's `instructions_per_second`, or the
-//! sharded wall-clock throughput below 90% of its
-//! `shard_instructions_per_second` (when the baseline carries that key).
+//! to damp scheduler noise), then once more with every app split into 2
+//! shards on a 1-worker pool, writes both measurements to
+//! `BENCH_collector.json` in the current directory, and — when
+//! `--baseline <file>` is given — fails with a non-zero exit if the
+//! measured sequential throughput drops below 90% of the committed
+//! baseline's `instructions_per_second`, or the sharded wall-clock
+//! throughput below 90% of its `shard_instructions_per_second` (when the
+//! baseline carries that key).
 //!
 //! The gate is **two-sided**: throughput more than 25% *above* a baseline
 //! also fails. A genuine speedup must land together with a reviewed bump of
@@ -84,15 +85,14 @@ fn main() {
     let best = best.expect("at least one run");
     let ips = best.serial_instructions_per_second;
 
-    // One sharded pass over the same campaign: every app split across the
-    // pool, measured by wall-clock throughput. This is the tail-filling
+    // One sharded pass over the same campaign: every app split into 2
+    // shards, measured by wall-clock throughput. This is the shard-and-merge
     // path the gate must keep honest alongside the sequential collector hot
-    // path. At least 2 shards even on a single-core runner, so the
-    // shard-and-merge machinery is always what this row measures.
-    let pool = Parallelism::Auto.workers(usize::MAX);
+    // path. The pool is fixed at one worker so the row measures the code,
+    // not the runner's core count.
     let sharded = Campaign::full_baseline_with_options(&CampaignOptions {
-        par: Parallelism::Auto,
-        shards: ShardMode::Fixed(u32::try_from(pool).unwrap_or(u32::MAX).max(2)),
+        par: Parallelism::Fixed(1),
+        shards: ShardMode::Fixed(2),
         ..CampaignOptions::default()
     })
     .run_report();

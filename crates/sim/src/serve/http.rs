@@ -48,23 +48,32 @@ pub enum RequestError {
 pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, RequestError> {
     let mut reader = BufReader::new(stream);
     let mut head_bytes = 0usize;
-    let mut line = String::new();
-    let mut read_line =
-        |reader: &mut BufReader<&mut R>, line: &mut String| -> Result<(), RequestError> {
-            line.clear();
-            let n = reader.read_line(line).map_err(RequestError::Io)?;
-            if n == 0 {
-                return Err(RequestError::Malformed("connection closed mid-request"));
-            }
-            head_bytes += n;
-            if head_bytes > MAX_HEAD_BYTES {
-                return Err(RequestError::TooLarge);
-            }
-            Ok(())
-        };
+    // Each line is read through `take` with the rest of the head budget
+    // plus one byte, so a peer that never sends a newline is cut off at
+    // the cap instead of growing the line without bound. The size check
+    // comes before the UTF-8 check: an oversized head is `TooLarge`
+    // whatever its bytes.
+    let mut read_line = |reader: &mut BufReader<&mut R>| -> Result<String, RequestError> {
+        let budget = (MAX_HEAD_BYTES - head_bytes + 1) as u64;
+        let mut raw = Vec::new();
+        let n = reader
+            .by_ref()
+            .take(budget)
+            .read_until(b'\n', &mut raw)
+            .map_err(RequestError::Io)?;
+        if n == 0 {
+            return Err(RequestError::Malformed("connection closed mid-request"));
+        }
+        head_bytes += n;
+        if head_bytes > MAX_HEAD_BYTES {
+            return Err(RequestError::TooLarge);
+        }
+        String::from_utf8(raw)
+            .map_err(|e| RequestError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))
+    };
 
-    read_line(&mut reader, &mut line)?;
-    let request_line = line.trim_end_matches(['\r', '\n']).to_string();
+    let line = read_line(&mut reader)?;
+    let request_line = line.trim_end_matches(['\r', '\n']);
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -82,7 +91,7 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, RequestError> {
 
     let mut content_length = 0usize;
     loop {
-        read_line(&mut reader, &mut line)?;
+        let line = read_line(&mut reader)?;
         let header = line.trim_end_matches(['\r', '\n']);
         if header.is_empty() {
             break;
@@ -271,6 +280,37 @@ mod tests {
                 format!("POST /run HTTP/1.1\r\nContent-Length: {length}\r\n\r\n").into_bytes();
             raw.extend_from_slice(&sent);
             prop_assert!(matches!(parse(&raw), Err(RequestError::TooLarge)));
+        }
+    }
+
+    /// A peer streaming head bytes with no newline is cut off at the head
+    /// budget: `TooLarge` after pulling at most the budget, one byte and
+    /// one `BufReader` fill — not a line buffered without bound.
+    #[test]
+    fn endless_line_is_too_large_within_the_budget() {
+        /// Yields `a` forever (a 1 MiB guard stops a regression from
+        /// exhausting memory instead of failing the bound below).
+        struct Endless(usize);
+        impl Read for Endless {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = buf.len().min((1 << 20) - self.0);
+                buf[..n].fill(b'a');
+                self.0 += n;
+                Ok(n)
+            }
+        }
+        const BUF_READER_CAPACITY: usize = 8 * 1024;
+        for prefix in [&b""[..], b"GET / HTTP/1.1\r\nX-a: "] {
+            let mut peer = prefix.chain(Endless(0));
+            assert!(matches!(
+                read_request(&mut peer),
+                Err(RequestError::TooLarge)
+            ));
+            let pulled = prefix.len() + peer.into_inner().1 .0;
+            assert!(
+                pulled <= MAX_HEAD_BYTES + 1 + BUF_READER_CAPACITY,
+                "pulled {pulled} bytes"
+            );
         }
     }
 }

@@ -241,6 +241,7 @@ pub fn body_from_campaign(req: &SimRequest, campaign: &Campaign) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn minimal_request_fills_defaults() {
@@ -314,5 +315,92 @@ mod tests {
             two.isa_mask(),
             "mask derivation must see the request's full corpus"
         );
+    }
+
+    /// Decode a valid request body from a seed stream: 1–4 suite apps and
+    /// each optional field present or absent, with in-range values.
+    fn valid_body(seed: &[u32]) -> String {
+        let suite = Application::all();
+        let mut w = seed.iter().copied().cycle();
+        let mut next = || w.next().unwrap_or(0);
+        let apps: Vec<&str> = (0..1 + next() % 4)
+            .map(|_| suite[next() as usize % suite.len()].code)
+            .collect();
+        let quoted: Vec<String> = apps.iter().map(|c| format!("\"{c}\"")).collect();
+        let mut body = format!("{{\"apps\": [{}]", quoted.join(","));
+        let present = next();
+        let fields: [(&str, String); 7] = [
+            (
+                "config",
+                format!(
+                    "\"{}\"",
+                    ["baseline", "gtx480", "tesla_k80", "tesla_p100"][next() as usize % 4]
+                ),
+            ),
+            ("sms", (1 + next() % 128).to_string()),
+            (
+                "scheduler",
+                format!("\"{}\"", ["gto", "lrr", "two_level"][next() as usize % 3]),
+            ),
+            (
+                "arch",
+                format!(
+                    "\"{}\"",
+                    ["fermi", "kepler", "maxwell", "pascal"][next() as usize % 4]
+                ),
+            ),
+            (
+                "priority",
+                (u64::from(next()) % (MAX_PRIORITY + 1)).to_string(),
+            ),
+            (
+                "hold_ms",
+                (u64::from(next()) % (MAX_HOLD_MS + 1)).to_string(),
+            ),
+            (
+                "inject_panic",
+                format!("\"{}\"", apps[next() as usize % apps.len()]),
+            ),
+        ];
+        for (i, (key, value)) in fields.iter().enumerate() {
+            if present >> i & 1 == 1 {
+                body.push_str(&format!(", \"{key}\": {value}"));
+            }
+        }
+        body.push('}');
+        body
+    }
+
+    proptest! {
+        /// Arbitrary text is answered with `Ok` or `Err`, never a panic.
+        #[test]
+        fn random_bodies_never_panic(raw in proptest::collection::vec(any::<u8>(), 0..512)) {
+            let _ = parse_request(&String::from_utf8_lossy(&raw));
+        }
+
+        /// A generated valid body parses, and every strict prefix of it —
+        /// never a complete JSON object — is an error.
+        #[test]
+        fn valid_bodies_parse_and_truncations_fail(
+            seed in proptest::collection::vec(any::<u32>(), 1..16),
+            cut: u64,
+        ) {
+            let body = valid_body(&seed);
+            prop_assert!(parse_request(&body).is_ok(), "{body} rejected");
+            let cut = (cut % body.len() as u64) as usize;
+            prop_assert!(parse_request(&body[..cut]).is_err(), "prefix {cut} of {body} parsed");
+        }
+
+        /// Flipping any single bit of a valid body never panics.
+        #[test]
+        fn bit_flips_never_panic(
+            seed in proptest::collection::vec(any::<u32>(), 1..16),
+            bit: u64,
+        ) {
+            let mut raw = valid_body(&seed).into_bytes();
+            let bit = (bit % (raw.len() as u64 * 8)) as usize;
+            raw[bit / 8] ^= 1 << (bit % 8);
+            let _ = parse_request(&String::from_utf8_lossy(&raw));
+        }
     }
 }
